@@ -736,13 +736,15 @@ struct PimServer::Impl
         return !(w.group && kind == PimJobKind::kDot);
     }
 
+    /** Decrement and signal under drain_mutex, so a drain() that
+     *  sees in_flight == 0 never races the last notify (whatever the
+     *  destruction order of this Impl). */
     void
     jobDone()
     {
-        if (in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            std::lock_guard<std::mutex> lock(drain_mutex);
+        std::lock_guard<std::mutex> lock(drain_mutex);
+        if (in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1)
             drain_cv.notify_all();
-        }
     }
 
     /** Account a job whose cancel won before dispatch. Caller holds

@@ -2,14 +2,17 @@
  * @file
  * ThreadPool tests: chunked parallel-for coverage, inline fallbacks,
  * nested invocation from worker threads (the case that used to
- * deadlock a fully busy pool), reduction equivalence, and concurrent
- * callers sharing one pool.
+ * deadlock a fully busy pool), reduction equivalence, concurrent
+ * callers sharing one pool, and caller/helper completion under
+ * oversubscription.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -173,4 +176,58 @@ TEST(ThreadPool, InWorkerThreadDetection)
         EXPECT_FALSE(pool.inWorkerThread());
     });
     (void)worker_hits;
+}
+
+TEST(ThreadPool, OversubscribedPoolsReturnOnlyAfterHelpersLetGo)
+{
+    // Regression for a completion race: helpers used to decrement the
+    // live-helper count outside the caller's done_mutex and lock it
+    // only afterwards. A caller could see the count reach zero, return,
+    // and let its next call reuse the stack slots while the last
+    // helper was still about to lock the old mutex. The window is
+    // widest when workers outnumber cores and most calls are small, so
+    // several oversubscribed pools run thousands of short calls at
+    // once. Without ThreadSanitizer this rarely fails on the racy code
+    // (5 of 5 plain Release runs on a 4-core host passed); under
+    // -DPIMEVAL_SANITIZE=thread it reported the race on every run.
+    const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    const size_t workers = hw + 2;
+    constexpr int kPools = 3;
+    constexpr int kCalls = 4000;
+    // A few times the pool's inline cutoff (2048), so every call fans
+    // out but most helpers find the range already drained.
+    constexpr size_t kMaxRange = 4 * 2048;
+
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    for (int p = 0; p < kPools; ++p)
+        pools.push_back(std::make_unique<ThreadPool>(workers));
+
+    std::vector<int> bad_calls(kPools, 0);
+    std::vector<std::thread> callers;
+    for (int p = 0; p < kPools; ++p) {
+        callers.emplace_back([&, p] {
+            ThreadPool &pool = *pools[p];
+            // Plain bytes: chunks are disjoint, and the caller reads
+            // them only after parallelForChunks has returned.
+            std::vector<uint8_t> hits(kMaxRange, 0);
+            for (int c = 0; c < kCalls; ++c) {
+                const size_t n = kMaxRange / 2 + (c * 97) % (kMaxRange / 2);
+                pool.parallelForChunks(0, n, [&](size_t lo, size_t hi) {
+                    for (size_t i = lo; i < hi; ++i)
+                        ++hits[i];
+                });
+                bool ok = true;
+                for (size_t i = 0; i < n; ++i) {
+                    ok = ok && hits[i] == 1;
+                    hits[i] = 0;
+                }
+                if (!ok)
+                    ++bad_calls[p];
+            }
+        });
+    }
+    for (auto &caller : callers)
+        caller.join();
+    for (int p = 0; p < kPools; ++p)
+        EXPECT_EQ(bad_calls[p], 0) << "pool " << p;
 }
